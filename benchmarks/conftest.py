@@ -1,9 +1,10 @@
 """Shared infrastructure for the benchmark harness.
 
 Every bench regenerates one table or figure of the paper's Section 5 at
-a reduced scale (``REPRO_SCALE``, default 64; see DESIGN.md §5), writes
-the paper-style rows to ``benchmarks/results/<id>.txt`` and asserts the
-qualitative shape the paper reports.
+a reduced scale (``REPRO_SCALE``, default 64; see README "Tests and
+benchmarks"), writes the paper-style rows to
+``benchmarks/results/<id>.txt`` and asserts the qualitative shape the
+paper reports.
 
 Reported time columns follow the paper's accounting:
 

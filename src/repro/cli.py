@@ -323,14 +323,33 @@ def _cmd_resemblance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_trace(path: str) -> tuple[list, int]:
+    """``(roots, exit_code)`` of a JSONL trace file: exit code 2 (with
+    a one-line error) when the file cannot be read, 1 when it holds no
+    trace records, else 0."""
+    from repro.obs.export import read_jsonl
+
+    try:
+        roots = read_jsonl(path)
+    except OSError as exc:
+        print(
+            f"cannot read trace file {path}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return [], 2
+    if not roots:
+        print(f"no trace records in {path}", file=sys.stderr)
+        return [], 1
+    return roots, 0
+
+
 def _cmd_trace_show(args: argparse.Namespace) -> int:
     """Render the trace trees recorded in a JSONL trace file."""
-    from repro.obs.export import read_jsonl, render_tree
+    from repro.obs.export import render_tree
 
-    roots = read_jsonl(args.trace_file)
-    if not roots:
-        print(f"no trace records in {args.trace_file}", file=sys.stderr)
-        return 1
+    roots, code = _read_trace(args.trace_file)
+    if code:
+        return code
     for i, root in enumerate(roots):
         if len(roots) > 1:
             print(f"run {i}:")
@@ -342,12 +361,11 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     """Export one recorded run as Chrome trace-event / Perfetto JSON."""
     import json
 
-    from repro.obs.export import read_jsonl, to_chrome, validate_chrome
+    from repro.obs.export import to_chrome, validate_chrome
 
-    roots = read_jsonl(args.trace_file)
-    if not roots:
-        print(f"no trace records in {args.trace_file}", file=sys.stderr)
-        return 1
+    roots, code = _read_trace(args.trace_file)
+    if code:
+        return code
     try:
         root = roots[args.run]
     except IndexError:

@@ -5,7 +5,8 @@
   Section 5 (domain ``[0, 10000]²``, cluster σ = 1000);
 - :mod:`repro.datasets.real` — seeded synthetic *stand-ins* for the
   USGS pointsets (PP, SC, LO) used by the paper, which are not
-  redistributable here (see DESIGN.md §4 for the substitution argument);
+  redistributable here; they keep the skewed clustering, cross-dataset
+  correlation and cardinality ratios the paper's results depend on;
 - :mod:`repro.datasets.worstcase` — adversarial families (collinear,
   cocircular, lattice, dumbbell, coincident) for the result-size study;
 - :mod:`repro.datasets.usgs` — loader for the real GNIS files (for

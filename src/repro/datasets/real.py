@@ -4,7 +4,7 @@ The paper evaluates on three pointsets from the U.S. Board on Geographic
 Names: PP (Populated Places, 177,983), SC (Schools, 172,188) and LO
 (Locales, 128,476).  Those files are not redistributable in this
 offline reproduction, so seeded generators emulate their key structural
-properties (DESIGN.md §4):
+properties:
 
 - *skewed, multi-scale clustering* — settlement locations follow many
   town/city clusters of varying size over a uniform rural background;

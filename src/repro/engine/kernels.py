@@ -653,7 +653,6 @@ def verify_rings_batch(
     union_tree: cKDTree,
     ux: np.ndarray,
     uy: np.ndarray,
-    blocker_alive: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batch ring-emptiness verification of candidate pairs.
 
@@ -665,13 +664,6 @@ def verify_rings_batch(
     can round out); each is confirmed with the exact oracle predicate
     ``(s - p) . (s - q) < 0``, under which the endpoints themselves (and
     coincident duplicates) evaluate to exactly zero and never block.
-
-    ``blocker_alive`` (a boolean ``(len(ux),)`` mask, when given) drops
-    dead tree rows before the predicate — the seam that lets the dynamic
-    backend verify against a *stale* KD-tree carrying tombstoned points
-    without rebuilding it: a dead row can never block, and survivors are
-    exactly those of a compacted tree because every live blocker applies
-    the identical IEEE predicate.
 
     Returns the boolean ``(M,)`` survivor mask.
     """
@@ -705,12 +697,6 @@ def verify_rings_batch(
             flat[pos : pos + n] = lst
             pos += n
     rows = np.repeat(np.arange(m), counts)
-    if blocker_alive is not None:
-        keep = blocker_alive[flat]
-        flat = flat[keep]
-        rows = rows[keep]
-        if not flat.size:
-            return alive
     sx = ux[flat]
     sy = uy[flat]
     t = (sx - px[rows]) * (sx - qx[rows]) + (sy - py[rows]) * (sy - qy[rows])

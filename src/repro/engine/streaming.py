@@ -34,13 +34,13 @@ through the unified planner like the bulk join does:
     batch candidate kernels, and all verification through
     :func:`~repro.engine.kernels.verify_rings_batch`.  Its
     ``apply_batch`` absorbs a whole update batch with *amortized*
-    maintenance: deletes become lazy tombstones (the stale KD-trees
-    stay up, dead rows masked out of candidate blocks), inserts land in
-    a small per-side buffer probed exactly, and the one compaction +
-    KD-tree rebuild per side is deferred until a tombstone-fraction or
-    buffer-size threshold trips (``REPRO_DYN_TOMBSTONE_FRAC`` /
-    ``REPRO_DYN_BUFFER_CAP``) — at most once per batch, usually far
-    less than once per batch.
+    maintenance: deletes become lazy tombstones, inserts land in a
+    small per-side buffer, one live-union view (a KD-tree over every
+    live row) serves both the batch's Voronoi probes and its exact
+    verification, and the one column compaction per side is deferred
+    until a tombstone-fraction or buffer-size threshold trips
+    (``REPRO_DYN_TOMBSTONE_FRAC`` / ``REPRO_DYN_BUFFER_CAP``) — at most
+    once per batch, usually far less than once per batch.
 
 Exactness
 ---------
@@ -59,7 +59,6 @@ ties are broken canonically by ``(p.oid, q.oid)``.
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 
@@ -394,83 +393,166 @@ def _buffer_cap() -> int:
         return DEFAULT_BUFFER_CAP
 
 
+#: Neighbours in the first k-NN block of a Voronoi probe; every later
+#: block doubles it.
+_PROBE_K0 = 32
+
+
+class _UnionView:
+    """The live union of both sides, frozen for one batch (or event).
+
+    One KD-tree plus coordinate columns over every live row — main and
+    buffered alike, tombstones left out — with P's rows first.  Both
+    the Voronoi probes and the exact verification run against it, so
+    neither needs a liveness mask or a second source.  ``span`` is the
+    bounding box of the domain and the live data, computed once.
+    """
+
+    def __init__(self, p: _SideColumns, q: _SideColumns, bounds: Rect):
+        rows_p, px, py = p.live_columns()
+        rows_q, qx, qy = q.live_columns()
+        self._cols = (p, q)
+        self._rows = (rows_p, rows_q)
+        self.n_p = len(rows_p)
+        self.x = np.concatenate((px, qx))
+        self.y = np.concatenate((py, qy))
+        self.tree = cKDTree(np.column_stack((self.x, self.y)))
+        self.span = (
+            min(bounds.xmin, float(self.x.min())),
+            min(bounds.ymin, float(self.y.min())),
+            max(bounds.xmax, float(self.x.max())),
+            max(bounds.ymax, float(self.y.max())),
+        )
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def point(self, i: int) -> Point:
+        """The :class:`Point` behind union row ``i``."""
+        if i < self.n_p:
+            return self._cols[0].point(self._rows[0][i])
+        return self._cols[1].point(self._rows[1][i - self.n_p])
+
+
 def _voronoi_neighborhood(
-    x: Point,
-    stream,
-    span: list[float],
+    x: float,
+    y: float,
+    view: _UnionView,
     stop_on_coincident: bool = True,
-) -> list[tuple[Point, Side]] | None:
-    """Clip ``x``'s Voronoi cell against an ascending-distance stream.
+    first: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[list[int] | None, int]:
+    """Clip the Voronoi cell of ``(x, y)`` against the union ``view``.
 
-    ``stream`` yields ``(distance, point, side)`` in ascending distance
-    over some pointset; ``span`` is a bounding box covering the domain,
-    the data and ``x`` (any superset is safe — it only enlarges the
-    starting horizon).  Streaming stops once the next point is beyond
-    twice the farthest cell vertex: no remaining point can be a
-    Delaunay neighbour of ``x``, because the empty-circle centre
-    witnessing adjacency lies inside the cell.  The returned
-    ``(point, side)`` list is therefore a superset of ``x``'s Delaunay
-    neighbours in the streamed set.
+    Union points arrive in ascending distance as k-NN blocks of doubling
+    size (``first``, when given, is the first block's ``(dist, idx)``
+    row from a query the caller batched over many probes).  Streaming
+    stops once the next point is beyond twice the farthest cell vertex:
+    no remaining point can be a Delaunay neighbour, because the
+    empty-circle centre witnessing adjacency lies inside the cell.  The
+    starting cell is the view's span around the probe, expanded by its
+    own size (any superset is safe — it only enlarges the starting
+    horizon).  The emitted union rows are therefore a superset of the
+    probe's Delaunay neighbours in the view.
 
-    A streamed point coinciding with ``x`` imposes no halfplane.  With
+    A point coinciding with the probe imposes no halfplane.  With
     ``stop_on_coincident`` (deletion semantics) it aborts the whole
     neighbourhood — a coincident twin survives, so every ring that
-    contained ``x`` still contains the twin and nothing is freed.
-    Otherwise (insertion probes) the coincident point is *emitted*: a
-    zero-radius ring with it is a legal degenerate pair.
+    contained the probe still contains the twin and nothing is freed —
+    and the rows come back as None.  Otherwise (insertion probes) the
+    coincident point is *emitted*: a zero-radius ring with it is a legal
+    degenerate pair.
 
-    Only points whose bisector actually reaches the current cell are
-    emitted.  The cell is a superset of ``x``'s final Voronoi region at
-    every step, so a bisector that leaves the whole cell strictly on
-    ``x``'s side can never share an edge (or vertex) with it — such a
-    point is provably not a Delaunay neighbour and its half-plane clip
-    would be a no-op.  Without this filter a probe near the hull (whose
-    cell is unbounded and stays box-sized) emits *every* point inside
-    the horizon — the entire union in the worst case.
+    Only points whose bisector reaches the current cell are emitted:
+    one leaving every cell vertex strictly on the probe's side (by more
+    than a float slack) can never share an edge or vertex with the
+    final region, and its clip would be a no-op.  Each block after the
+    first is tested against the current cell in one numpy pass of the
+    same IEEE predicate ``(v - m) . n < -slack * d``; a point rejected
+    there stays rejected, because every later cell is a subset of this
+    one.  Only survivors run the Python clip, so a probe near the hull,
+    whose unbounded cell keeps a box-sized horizon, costs a few array
+    passes instead of one Python iteration per union point.
+
+    Returns ``(rows, examined)``, ``examined`` being the points the
+    Python clip tested.
     """
-    margin = max(span[2] - span[0], span[3] - span[1], 1.0)
+    lo_x, lo_y, hi_x, hi_y = view.span
+    lo_x, lo_y = min(lo_x, x), min(lo_y, y)
+    hi_x, hi_y = max(hi_x, x), max(hi_y, y)
+    margin = max(hi_x - lo_x, hi_y - lo_y, 1.0)
     cell = box_polygon(
-        span[0] - margin, span[1] - margin, span[2] + margin, span[3] + margin
+        lo_x - margin, lo_y - margin, hi_x + margin, hi_y + margin
     )
     # Touch slack: treat a bisector missing the cell by less than this
     # distance as touching, covering the accumulated float error of the
     # clipped cell vertices (scaled to the coordinate magnitude).
-    slack = 1e-9 * max(
-        abs(span[0]), abs(span[1]), abs(span[2]), abs(span[3]), 1.0
-    )
+    slack = 1e-9 * max(abs(lo_x), abs(lo_y), abs(hi_x), abs(hi_y), 1.0)
 
-    def max_vertex_dist() -> float:
-        return max(
-            ((vx - x.x) ** 2 + (vy - x.y) ** 2) ** 0.5 for vx, vy in cell
+    def horizon_of(cell) -> float:
+        return 2.0 * max(
+            ((vx - x) ** 2 + (vy - y) ** 2) ** 0.5 for vx, vy in cell
         )
 
-    horizon = 2.0 * max_vertex_dist()
-    out: list[tuple[Point, Side]] = []
-    for d, z, z_side in stream:
-        if d > horizon:
-            break
-        if z.x == x.x and z.y == x.y:
-            if stop_on_coincident:
-                return None
-            out.append((z, z_side))
-            continue
-        nx = z.x - x.x
-        ny = z.y - x.y
-        mx = (x.x + z.x) / 2.0
-        my = (x.y + z.y) / 2.0
-        # (v - m) . n has units length * |n| = length * d: divide the
-        # distance slack through by comparing against -slack * d.
-        smax = max((vx - mx) * nx + (vy - my) * ny for vx, vy in cell)
-        if smax < -slack * d:
-            continue
-        out.append((z, z_side))
-        clipped = clip_halfplane(cell, mx, my, nx, ny)
-        if clipped:
-            cell = clipped
-            horizon = 2.0 * max_vertex_dist()
-        # else: the cell collapsed numerically — keep the previous
-        # (larger) horizon and keep streaming; conservative.
-    return out
+    horizon = horizon_of(cell)
+    n = len(view)
+    out: list[int] = []
+    examined = 0
+    done = 0
+    k = _PROBE_K0
+    dist, idx = first if first is not None else (None, None)
+    while True:
+        kk = min(k, n)
+        if dist is None:
+            dist, idx = view.tree.query((x, y), k=kk)
+            dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+        d, rows = dist[done:kk], idx[done:kk]
+        # The horizon only shrinks: points beyond it now stay beyond.
+        cut = int(np.searchsorted(d, horizon, side="right"))
+        last = cut < len(d) or kk == n
+        d, rows = d[:cut], rows[:cut]
+        zx, zy = view.x[rows], view.y[rows]
+        if done:
+            # (The first block meets the unclipped box, which rejects
+            # nothing.)  (v - m) . n has units length * d: compare
+            # against -slack * d, as the scalar test below does.
+            verts = np.array(cell)
+            vx, vy = verts[:, :1], verts[:, 1:]
+            nx, ny = zx - x, zy - y
+            mx, my = (x + zx) / 2.0, (y + zy) / 2.0
+            smax = ((vx - mx) * nx + (vy - my) * ny).max(axis=0)
+            keep = ~(smax < -slack * d)
+            d, rows, zx, zy = d[keep], rows[keep], zx[keep], zy[keep]
+        for dj, row, zxj, zyj in zip(
+            d.tolist(), rows.tolist(), zx.tolist(), zy.tolist()
+        ):
+            if dj > horizon:
+                last = True
+                break
+            examined += 1
+            if zxj == x and zyj == y:
+                if stop_on_coincident:
+                    return None, examined
+                out.append(row)
+                continue
+            nx = zxj - x
+            ny = zyj - y
+            mx = (x + zxj) / 2.0
+            my = (y + zyj) / 2.0
+            smax = max((vx - mx) * nx + (vy - my) * ny for vx, vy in cell)
+            if smax < -slack * dj:
+                continue
+            out.append(row)
+            clipped = clip_halfplane(cell, mx, my, nx, ny)
+            if clipped:
+                cell = clipped
+                horizon = horizon_of(cell)
+            # else: the cell collapsed numerically — keep the previous
+            # (larger) horizon and keep streaming; conservative.
+        if last:
+            return out, examined
+        done = kk
+        k *= 2
+        dist = None
 
 
 class _SideColumns:
@@ -482,13 +564,12 @@ class _SideColumns:
     are invalidated per mutation and rebuilt lazily, exactly the
     pre-batch behaviour.  *Lazy* ops (``tombstone`` /
     ``buffer_insert`` — the ``apply_batch`` path) never touch the
-    cached main array or tree: a delete only marks its row dead (the
-    row stays in the columns *and* in the stale tree, masked out of
-    candidate blocks via ``alive_main``), and an insert appends past
-    ``_main_n`` into a side buffer the batch path probes exactly.
-    ``flush`` merges the buffer and drops dead rows in one pass — the
-    single compaction + rebuild a batch may pay.  Eager ops flush
-    first, so interleaving the two tiers stays correct.
+    cached main array: a delete only marks its row dead, and an insert
+    appends past ``_main_n`` into a side buffer; ``live_columns`` hands
+    the batch path every live row.  ``flush`` merges the buffer and
+    drops dead rows in one pass — the single compaction a batch may
+    pay.  Eager ops flush first, so interleaving the two tiers stays
+    correct.
     """
 
     def __init__(self, points):
@@ -501,7 +582,6 @@ class _SideColumns:
         self._main_n = 0  # rows [0, _main_n) are covered by _arr/_tree
         self._arr: PointArray | None = None
         self._tree: cKDTree | None = None
-        self._alive: np.ndarray | None = None
         for point in points:
             self.insert(point)
 
@@ -523,7 +603,7 @@ class _SideColumns:
         self._ys.append(point.y)
         self._points.append(point)
         self._main_n = len(self._points)
-        self._arr = self._tree = self._alive = None
+        self._arr = self._tree = None
 
     def pop(self, oid: int) -> Point | None:
         self.flush()
@@ -540,7 +620,7 @@ class _SideColumns:
             self._row_of[mover.oid] = row
         del self._xs[last], self._ys[last], self._points[last]
         self._main_n = len(self._points)
-        self._arr = self._tree = self._alive = None
+        self._arr = self._tree = None
         return victim
 
     def array(self) -> PointArray:
@@ -551,7 +631,11 @@ class _SideColumns:
     def tree(self) -> cKDTree | None:
         """KD-tree over the dense array (flushes any lazy state)."""
         self.flush()
-        return self._main_tree()
+        if self._main_n == 0:
+            return None
+        if self._tree is None:
+            self._tree = cKDTree(self._main_array().coords())
+        return self._tree
 
     # ------------------------------------------------------------------
     # lazy tier (apply_batch path; tombstones + insert buffer)
@@ -564,8 +648,6 @@ class _SideColumns:
         self._dead.add(row)
         if row < self._main_n:
             self._dead_main += 1
-            if self._alive is not None:
-                self._alive[row] = False
         return self._points[row]
 
     def buffer_insert(self, point: Point) -> None:
@@ -577,31 +659,25 @@ class _SideColumns:
         self._ys.append(point.y)
         self._points.append(point)
 
-    def main_array(self) -> PointArray | None:
-        """Stale main columns (dead rows included), or None if empty."""
-        return self._main_array() if self._main_n else None
-
-    def main_tree(self) -> cKDTree | None:
-        """Stale main KD-tree (dead rows included), or None if empty."""
-        return self._main_tree()
-
-    def alive_main(self) -> np.ndarray:
-        """Boolean liveness mask over the main rows."""
-        if self._alive is None:
-            mask = np.ones(self._main_n, dtype=bool)
-            for row in self._dead:
-                if row < self._main_n:
-                    mask[row] = False
-            self._alive = mask
-        return self._alive
-
-    def buffer_points(self) -> list[Point]:
-        """Live buffered inserts (rows past ``_main_n``)."""
-        return [
-            self._points[row]
-            for row in range(self._main_n, len(self._points))
-            if row not in self._dead
-        ]
+    def live_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, x, y)`` of every live row, main and buffered."""
+        main = self._main_array()
+        n = len(self._points)
+        xs, ys = main.x, main.y
+        if n > self._main_n:
+            m = n - self._main_n
+            xs = np.concatenate(
+                (xs, np.fromiter(self._xs[self._main_n :], np.float64, m))
+            )
+            ys = np.concatenate(
+                (ys, np.fromiter(self._ys[self._main_n :], np.float64, m))
+            )
+        if not self._dead:
+            return np.arange(n), xs, ys
+        alive = np.ones(n, dtype=bool)
+        alive[np.fromiter(self._dead, np.int64, len(self._dead))] = False
+        rows = np.flatnonzero(alive)
+        return rows, xs[rows], ys[rows]
 
     @property
     def main_count(self) -> int:
@@ -643,7 +719,7 @@ class _SideColumns:
             self._dead.clear()
         self._dead_main = 0
         self._main_n = len(self._points)
-        self._arr = self._tree = self._alive = None
+        self._arr = self._tree = None
         return True
 
     # ------------------------------------------------------------------
@@ -663,13 +739,6 @@ class _SideColumns:
                 ),
             )
         return self._arr
-
-    def _main_tree(self) -> cKDTree | None:
-        if self._main_n == 0:
-            return None
-        if self._tree is None:
-            self._tree = cKDTree(self._main_array().coords())
-        return self._tree
 
 
 class _RingColumns:
@@ -797,17 +866,21 @@ class DynamicArrayRCJ:
       (:func:`~repro.engine.kernels.knn_candidate_blocks` with the new
       point as the sole probe);
     - deletion's freed-pair candidates come from the same
-      Voronoi-horizon argument as the object backend — stream union
-      neighbours in ascending distance (batched KD queries with a
-      doubling window) while clipping the departed point's cell; once
-      the next neighbour is beyond twice the farthest cell vertex, no
-      Delaunay neighbour remains — crossed and filtered vectorized;
+      Voronoi-horizon argument as the object backend
+      (:func:`_voronoi_neighborhood` over a :class:`_UnionView` of the
+      live union: k-NN blocks of doubling size, whole blocks rejected
+      against the current cell in numpy, survivors clipped) — crossed
+      and filtered vectorized;
     - every candidate batch is settled by
-      :func:`~repro.engine.kernels.verify_rings_batch` against the live
-      union, the engine's exact predicate.
+      :func:`~repro.engine.kernels.verify_rings_batch` against the same
+      live-union view, the engine's exact predicate.
+
+    The per-side KD-trees serve the per-event ``insert`` only;
+    ``apply_batch`` builds one live-union view per batch for both its
+    probe and verify stages.
 
     Parameters mirror :class:`~repro.core.dynamic.DynamicRCJ`
-    (``bounds`` seeds the deletion clip box; points outside remain
+    (``bounds`` seeds the Voronoi clip box; points outside remain
     legal).  ``oid`` values must be unique within each side.
     """
 
@@ -893,8 +966,10 @@ class DynamicArrayRCJ:
                 px, py, qx, qy = zx, zy, ox, oy
             else:
                 px, py, qx, qy = ox, oy, zx, zy
-            union_tree, ux, uy = self._union()
-            alive = verify_rings_batch(px, py, qx, qy, union_tree, ux, uy)
+            view = _UnionView(self._p, self._q, self.bounds)
+            alive = verify_rings_batch(
+                px, py, qx, qy, view.tree, view.x, view.y
+            )
             for row in partner_idx[alive].tolist():
                 partner = other.point(row)
                 pair = (
@@ -927,60 +1002,11 @@ class DynamicArrayRCJ:
                 return True
             # (ii) Pairs freed by the departure: both endpoints are
             # Delaunay neighbours of the departed point in the remaining
-            # union.  One union tree serves both the horizon stream and
-            # verification.
-            union = self._union()
-            neighborhood = self._neighborhood(victim, union)
-            if neighborhood is None:
-                # A coincident twin remains: every ring that contained
-                # the departed point still contains the twin.
-                return True
-            near_p = [z for z, z_side in neighborhood if z_side == "P"]
-            near_q = [z for z, z_side in neighborhood if z_side == "Q"]
-            if not near_p or not near_q:
-                return True
-            px = np.fromiter(
-                (z.x for z in near_p), np.float64, count=len(near_p)
-            )
-            py = np.fromiter(
-                (z.y for z in near_p), np.float64, count=len(near_p)
-            )
-            qx = np.fromiter(
-                (z.x for z in near_q), np.float64, count=len(near_q)
-            )
-            qy = np.fromiter(
-                (z.y for z in near_q), np.float64, count=len(near_q)
-            )
-            # Cross the two neighbour sets and keep only rings the
-            # departed point blocked — the exact dot predicate,
-            # vectorized.
-            n_pn, n_qn = len(near_p), len(near_q)
-            pi = np.repeat(np.arange(n_pn), n_qn)
-            qi = np.tile(np.arange(n_qn), n_pn)
-            cx, cy = px[pi], py[pi]
-            dx, dy = qx[qi], qy[qi]
-            blocked = (victim.x - cx) * (victim.x - dx) + (
-                victim.y - cy
-            ) * (victim.y - dy) < 0.0
-            fresh = np.fromiter(
-                (
-                    (near_p[a].oid, near_q[b].oid) not in self._pairs
-                    for a, b in zip(pi.tolist(), qi.tolist())
-                ),
-                bool,
-                count=len(pi),
-            )
-            keep = blocked & fresh
-            pi, qi = pi[keep], qi[keep]
-            if not pi.size:
-                return True
-            union_tree, ux, uy = union
-            alive = verify_rings_batch(
-                px[pi], py[pi], qx[qi], qy[qi], union_tree, ux, uy
-            )
-            for a, b in zip(pi[alive].tolist(), qi[alive].tolist()):
-                self._store(RCJPair(near_p[a], near_q[b]))
-            add_counter("freed", int(alive.sum()))
+            # union.  One view serves both the probe and verification.
+            view = _UnionView(self._p, self._q, self.bounds)
+            candidates: dict[tuple[int, int], RCJPair] = {}
+            self._probe_victim(victim, view, candidates)
+            add_counter("freed", self._settle(candidates, view))
         return True
 
     # ------------------------------------------------------------------
@@ -996,26 +1022,29 @@ class DynamicArrayRCJ:
         mutates on a malformed batch) the whole batch is absorbed with
         *no* per-event column compaction or KD-tree rebuild:
 
-        - deletes become lazy tombstones — the stale per-side KD-trees
-          stay up, dead rows masked out of candidate blocks
-          (``blocker_alive`` in the verify kernel);
-        - inserts land in small per-side buffers probed exactly;
+        - deletes become lazy tombstones and inserts land in small
+          per-side buffers;
+        - one live-union view (:class:`_UnionView`: a KD-tree plus
+          columns over every live row, buffers included, tombstones
+          left out) is built for the whole batch, and the first k-NN
+          block of every probe comes from one query over it;
         - freed-pair candidates come from each victim's Voronoi
-          neighbourhood over the *final* union view (for a ring freed by
-          a deletion, both endpoints are Delaunay neighbours of the
+          neighbourhood over the *final* union (for a ring freed by a
+          deletion, both endpoints are Delaunay neighbours of the
           departed point in ``final ∪ {victim}`` — the witness circles
           lie inside the ring, empty of the final union), filtered by
           the exact "ring strictly contained the victim" predicate;
         - new-pair candidates come from each inserted point's Voronoi
           neighbourhood (opposite side);
-        - one exact verification pass over the composite view (stale
-          trees with liveness masks + buffers, identical IEEE predicate
-          term order) settles all candidates — byte-identical survivors
-          to the per-event oracle;
-        - at most one compaction + KD-tree rebuild per side runs at the
-          end, and only past a tombstone-fraction or buffer-size
-          threshold (``REPRO_DYN_TOMBSTONE_FRAC`` /
-          ``REPRO_DYN_BUFFER_CAP``).
+        - one exact verification pass over the same view settles all
+          candidates — byte-identical survivors to the per-event
+          oracle;
+        - at most one compaction per side runs at the end, and only
+          past a tombstone-fraction or buffer-size threshold
+          (``REPRO_DYN_TOMBSTONE_FRAC`` / ``REPRO_DYN_BUFFER_CAP``).
+
+        The ``probe`` stage span counts ``examined``: the points the
+        Python clip tested, summed over the batch's probes.
         """
         inserts = [(point, side) for point, side in inserts]
         deletes = [(point, side) for point, side in deletes]
@@ -1080,255 +1109,111 @@ class DynamicArrayRCJ:
         # -- probe stage: freed-pair candidates per victim, new-pair
         # candidates per insert, all over one final-union view.
         if len(self._p) and len(self._q):
-            sources = self._union_sources()
             candidates: dict[tuple[int, int], RCJPair] = {}
             with stage_timer(stages, "probe"):
-                for victim, side in victims:
-                    self._probe_victim(victim, sources, candidates)
-                for point, side in inserts:
-                    self._probe_insert(point, side, sources, candidates)
+                view = _UnionView(self._p, self._q, self.bounds)
+                # The first k-NN block of every probe, in one query.
+                probes = [(pt.x, pt.y) for pt, _side in victims + inserts]
+                if probes:
+                    dist, idx = view.tree.query(
+                        probes, k=min(_PROBE_K0, len(view))
+                    )
+                    dist = dist.reshape(len(probes), -1)
+                    idx = idx.reshape(len(probes), -1)
+                examined = 0
+                for j, (victim, _side) in enumerate(victims):
+                    examined += self._probe_victim(
+                        victim, view, candidates, (dist[j], idx[j])
+                    )
+                for j, (point, side) in enumerate(inserts, len(victims)):
+                    examined += self._probe_insert(
+                        point, side, view, candidates, (dist[j], idx[j])
+                    )
+                add_counter("examined", examined)
             add_counter("candidates", len(candidates))
             # -- verify stage: one exact pass settles every candidate.
             if candidates:
                 with stage_timer(stages, "verify"):
-                    pairs = list(candidates.values())
-                    m = len(pairs)
-                    px = np.fromiter(
-                        (pr.p.x for pr in pairs), np.float64, count=m
-                    )
-                    py = np.fromiter(
-                        (pr.p.y for pr in pairs), np.float64, count=m
-                    )
-                    qx = np.fromiter(
-                        (pr.q.x for pr in pairs), np.float64, count=m
-                    )
-                    qy = np.fromiter(
-                        (pr.q.y for pr in pairs), np.float64, count=m
-                    )
-                    alive = self._verify_sources(px, py, qx, qy, sources)
-                    for j in np.nonzero(alive)[0].tolist():
-                        self._store(pairs[j])
-                    add_counter("added", int(alive.sum()))
-        # -- rebuild stage: at most one compaction + rebuild per side.
+                    add_counter("added", self._settle(candidates, view))
+        # -- rebuild stage: at most one compaction per side.
         with stage_timer(stages, "rebuild"):
             self._maybe_compact()
 
-    def _probe_victim(self, victim: Point, sources, candidates) -> None:
-        """Freed-pair candidates of one deleted point over the final
-        union view: cross the P/Q split of its Voronoi neighbourhood,
-        keep rings it strictly blocked."""
-        neighborhood = self._batch_neighborhood(
-            victim, sources, stop_on_coincident=True
+    def _probe_victim(
+        self, victim: Point, view: _UnionView, candidates, first=None
+    ) -> int:
+        """Freed-pair candidates of one deleted point: cross the P/Q
+        split of its Voronoi neighbourhood in ``view``, keep rings it
+        strictly blocked.  Returns the points the clip examined."""
+        rows, examined = _voronoi_neighborhood(
+            victim.x, victim.y, view, stop_on_coincident=True, first=first
         )
-        if neighborhood is None:
+        if rows is None:
             # A coincident live point remains: every ring that contained
             # the victim still contains that point — nothing is freed.
-            return
-        near_p = [z for z, z_side in neighborhood if z_side == "P"]
-        near_q = [z for z, z_side in neighborhood if z_side == "Q"]
-        if not near_p or not near_q:
-            return
-        px = np.fromiter((z.x for z in near_p), np.float64, count=len(near_p))
-        py = np.fromiter((z.y for z in near_p), np.float64, count=len(near_p))
-        qx = np.fromiter((z.x for z in near_q), np.float64, count=len(near_q))
-        qy = np.fromiter((z.y for z in near_q), np.float64, count=len(near_q))
-        n_pn, n_qn = len(near_p), len(near_q)
-        pi = np.repeat(np.arange(n_pn), n_qn)
-        qi = np.tile(np.arange(n_qn), n_pn)
-        blocked = (victim.x - px[pi]) * (victim.x - qx[qi]) + (
-            victim.y - py[pi]
-        ) * (victim.y - qy[qi]) < 0.0
+            return examined
+        rows = np.array(rows, dtype=np.int64)
+        near_p, near_q = rows[rows < view.n_p], rows[rows >= view.n_p]
+        if not near_p.size or not near_q.size:
+            return examined
+        pi = np.repeat(near_p, near_q.size)
+        qi = np.tile(near_q, near_p.size)
+        blocked = (victim.x - view.x[pi]) * (victim.x - view.x[qi]) + (
+            victim.y - view.y[pi]
+        ) * (victim.y - view.y[qi]) < 0.0
         for a, b in zip(pi[blocked].tolist(), qi[blocked].tolist()):
-            key = (near_p[a].oid, near_q[b].oid)
-            if key in self._pairs or key in candidates:
-                continue
-            candidates[key] = RCJPair(near_p[a], near_q[b])
+            p, q = view.point(a), view.point(b)
+            key = (p.oid, q.oid)
+            if key not in self._pairs and key not in candidates:
+                candidates[key] = RCJPair(p, q)
+        return examined
 
     def _probe_insert(
-        self, point: Point, side: Side, sources, candidates
-    ) -> None:
+        self, point: Point, side: Side, view: _UnionView, candidates, first
+    ) -> int:
         """New-pair candidates of one inserted point: its opposite-side
-        Voronoi neighbours over the final union view (a verified pair's
-        ring is empty of the final union, so its endpoints are Delaunay
-        neighbours there — the neighbourhood is a superset)."""
-        neighborhood = self._batch_neighborhood(
-            point,
-            sources,
-            stop_on_coincident=False,
-            exclude=(side, point.oid),
+        Voronoi neighbours in ``view`` (a verified pair's ring is empty
+        of the final union, so its endpoints are Delaunay neighbours
+        there — the neighbourhood is a superset).  The point itself is
+        in the view and comes back as a coincident own-side row.
+        Returns the points the clip examined."""
+        rows, examined = _voronoi_neighborhood(
+            point.x, point.y, view, stop_on_coincident=False, first=first
         )
-        other_side: Side = "Q" if side == "P" else "P"
-        for z, z_side in neighborhood:
-            if z_side != other_side:
+        for row in rows:
+            if (row < view.n_p) == (side == "P"):
                 continue
-            pair = RCJPair(point, z) if side == "P" else RCJPair(z, point)
-            key = pair.key()
-            if key in self._pairs or key in candidates:
-                continue
-            candidates[key] = pair
+            z = view.point(row)
+            p, q = (point, z) if side == "P" else (z, point)
+            key = (p.oid, q.oid)
+            if key not in self._pairs and key not in candidates:
+                candidates[key] = RCJPair(p, q)
+        return examined
 
-    def _union_sources(self) -> list[tuple]:
-        """The composite final-union view the batch path probes and
-        verifies against: per side, the stale main tree with its
-        liveness mask, plus the exact insert buffer."""
-        sources: list[tuple] = []
-        for side, cols in (("P", self._p), ("Q", self._q)):
-            tree = cols.main_tree()
-            if tree is not None:
-                sources.append(
-                    (
-                        "tree",
-                        side,
-                        cols,
-                        tree,
-                        cols.main_array(),
-                        cols.alive_main(),
-                    )
-                )
-            buf = cols.buffer_points()
-            if buf:
-                bx = np.fromiter(
-                    (p.x for p in buf), np.float64, count=len(buf)
-                )
-                by = np.fromiter(
-                    (p.y for p in buf), np.float64, count=len(buf)
-                )
-                sources.append(("buffer", side, cols, buf, bx, by))
-        return sources
-
-    def _verify_sources(self, px, py, qx, qy, sources) -> np.ndarray:
-        """Exact ring verification against the composite union view.
-
-        Conjunction over sources: main tiers go through the batch verify
-        kernel with their liveness mask, buffers through a chunked
-        broadcast of the same IEEE predicate term order — together
-        exactly one verification against the full live union."""
-        alive = np.ones(len(px), dtype=bool)
-        for src in sources:
-            if not alive.any():
-                break
-            if src[0] == "tree":
-                _tag, _side, _cols, tree, arr, mask = src
-                if not mask.any():
-                    continue
-                blocker = None if mask.all() else mask
-                alive &= verify_rings_batch(
-                    px, py, qx, qy, tree, arr.x, arr.y,
-                    blocker_alive=blocker,
-                )
-            else:
-                _tag, _side, _cols, _buf, bx, by = src
-                m = len(px)
-                chunk = max(1, (1 << 22) // max(1, len(bx)))
-                for s in range(0, m, chunk):
-                    e = min(s + chunk, m)
-                    t = (bx - px[s:e, None]) * (bx - qx[s:e, None]) + (
-                        by - py[s:e, None]
-                    ) * (by - qy[s:e, None])
-                    alive[s:e] &= ~(t < 0.0).any(axis=1)
-        return alive
-
-    def _batch_neighborhood(
-        self,
-        x: Point,
-        sources,
-        stop_on_coincident: bool,
-        exclude: tuple[Side, int] | None = None,
-    ) -> list[tuple[Point, Side]] | None:
-        """Voronoi neighbourhood of ``x`` over the composite view —
-        ascending-distance streams from each source, heap-merged into
-        the shared clip loop.  ``exclude`` drops one ``(side, oid)``
-        (an inserted point probing for its own partners)."""
-        span = [
-            self.bounds.xmin,
-            self.bounds.ymin,
-            self.bounds.xmax,
-            self.bounds.ymax,
-        ]
-        for src in sources:
-            if src[0] == "tree":
-                arr = src[4]
-                if len(arr.x):
-                    # Dead rows inflate the box — a larger clip box only
-                    # enlarges the starting horizon; conservative.
-                    span[0] = min(span[0], float(arr.x.min()))
-                    span[1] = min(span[1], float(arr.y.min()))
-                    span[2] = max(span[2], float(arr.x.max()))
-                    span[3] = max(span[3], float(arr.y.max()))
-            else:
-                bx, by = src[4], src[5]
-                span[0] = min(span[0], float(bx.min()))
-                span[1] = min(span[1], float(by.min()))
-                span[2] = max(span[2], float(bx.max()))
-                span[3] = max(span[3], float(by.max()))
-        span[0] = min(span[0], x.x)
-        span[1] = min(span[1], x.y)
-        span[2] = max(span[2], x.x)
-        span[3] = max(span[3], x.y)
-        streams = [
-            self._tree_stream(x, src, exclude)
-            if src[0] == "tree"
-            else self._buffer_stream(x, src, exclude)
-            for src in sources
-        ]
-        merged = heapq.merge(*streams, key=lambda t: t[0])
-        return _voronoi_neighborhood(
-            x, merged, span, stop_on_coincident=stop_on_coincident
-        )
-
-    @staticmethod
-    def _tree_stream(x: Point, src, exclude):
-        """Live main-tier points in ascending distance from ``x``
-        (doubling-k KD queries over the stale tree, dead rows skipped)."""
-        _tag, side, cols, tree, _arr, mask = src
-        n_main = cols.main_count
-        done = 0
-        k = 32
-        while True:
-            kk = min(k, n_main)
-            dist, idx = tree.query([x.x, x.y], k=kk)
-            dist = np.atleast_1d(dist)
-            idx = np.atleast_1d(idx)
-            for d, row in zip(dist[done:].tolist(), idx[done:].tolist()):
-                if not mask[row]:
-                    continue
-                z = cols.point(row)
-                if (
-                    exclude is not None
-                    and side == exclude[0]
-                    and z.oid == exclude[1]
-                ):
-                    continue
-                yield float(d), z, side
-            if kk == n_main:
-                return
-            done = kk
-            k *= 2
-
-    @staticmethod
-    def _buffer_stream(x: Point, src, exclude):
-        """Buffered inserts in ascending distance from ``x``."""
-        _tag, side, _cols, buf, bx, by = src
-        d = np.hypot(bx - x.x, by - x.y)
-        for j in np.argsort(d, kind="stable").tolist():
-            z = buf[j]
-            if (
-                exclude is not None
-                and side == exclude[0]
-                and z.oid == exclude[1]
-            ):
-                continue
-            yield float(d[j]), z, side
+    def _settle(self, candidates, view: _UnionView) -> int:
+        """Verify candidate pairs exactly against ``view``; store the
+        survivors and return how many there were."""
+        if not candidates:
+            return 0
+        pairs = list(candidates.values())
+        m = len(pairs)
+        px = np.fromiter((pr.p.x for pr in pairs), np.float64, count=m)
+        py = np.fromiter((pr.p.y for pr in pairs), np.float64, count=m)
+        qx = np.fromiter((pr.q.x for pr in pairs), np.float64, count=m)
+        qy = np.fromiter((pr.q.y for pr in pairs), np.float64, count=m)
+        alive = verify_rings_batch(px, py, qx, qy, view.tree, view.x, view.y)
+        for j in np.flatnonzero(alive).tolist():
+            self._store(pairs[j])
+        return int(alive.sum())
 
     def _maybe_compact(self) -> int:
         """Flush a side's lazy state when it crossed a threshold — the
-        at-most-one compaction + KD-tree rebuild per side per batch."""
+        at-most-one compaction per side per batch."""
         frac = _tombstone_frac()
         cap = _buffer_cap()
         rebuilds = 0
         for cols in (self._p, self._q):
             if cols.needs_compaction(frac, cap) and cols.flush():
-                cols.tree()  # rebuild now so the cost lands in "rebuild"
                 rebuilds += 1
         self.stats["rebuilds"] += rebuilds
         add_counter("rebuilds", rebuilds)
@@ -1387,65 +1272,6 @@ class DynamicArrayRCJ:
     def _drop(self, key: tuple[int, int]) -> None:
         if self._pairs.pop(key, None) is not None:
             self._rings.remove(key)
-
-    def _union(self) -> tuple[cKDTree, np.ndarray, np.ndarray]:
-        parr, qarr = self._p.array(), self._q.array()
-        ux = np.concatenate((parr.x, qarr.x))
-        uy = np.concatenate((parr.y, qarr.y))
-        return cKDTree(np.column_stack((ux, uy))), ux, uy
-
-    def _neighborhood(
-        self, x: Point, union: tuple[cKDTree, np.ndarray, np.ndarray]
-    ) -> list[tuple[Point, Side]] | None:
-        """Candidate endpoints for pairs freed by deleting ``x``.
-
-        The object backend's Voronoi-horizon stream
-        (:meth:`repro.core.dynamic.DynamicRCJ._neighborhood`) over the
-        columnar union (``union`` is the caller's already-built
-        :meth:`_union` triple): neighbours arrive in ascending distance
-        from batched KD-tree queries with a doubling window instead of
-        the merged R-tree heaps.  Returns None when a remaining point
-        coincides with ``x``.
-        """
-        n_p = len(self._p)
-        union_tree, ux, uy = union
-        n_union = len(ux)
-
-        span = [
-            self.bounds.xmin,
-            self.bounds.ymin,
-            self.bounds.xmax,
-            self.bounds.ymax,
-        ]
-        span[0] = min(span[0], float(ux.min()), x.x)
-        span[1] = min(span[1], float(uy.min()), x.y)
-        span[2] = max(span[2], float(ux.max()), x.x)
-        span[3] = max(span[3], float(uy.max()), x.y)
-
-        def stream():
-            done = 0
-            k = 32
-            while True:
-                kk = min(k, n_union)
-                dist, idx = union_tree.query([x.x, x.y], k=kk)
-                dist = np.atleast_1d(dist)
-                idx = np.atleast_1d(idx)
-                for d, row in zip(
-                    dist[done:].tolist(), idx[done:].tolist()
-                ):
-                    z_side: Side = "P" if row < n_p else "Q"
-                    z = (
-                        self._p.point(row)
-                        if row < n_p
-                        else self._q.point(row - n_p)
-                    )
-                    yield float(d), z, z_side
-                if kk == n_union:
-                    return
-                done = kk
-                k *= 2
-
-        return _voronoi_neighborhood(x, stream(), span)
 
     def __repr__(self) -> str:
         return (

@@ -270,6 +270,16 @@ class TestTraceCLI:
         assert main(["trace", "show", str(empty)]) == 1
         assert "no trace records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["show"], ["export", "-o", "x.json"]])
+    def test_trace_missing_file_is_named_error(
+        self, command, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["trace", command[0], missing, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot read trace file" in err and missing in err
+
 
 class TestParser:
     def test_missing_command_rejected(self):
